@@ -19,6 +19,7 @@ most one succeed.  Both nest arbitrarily.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from sys import intern
 from typing import Any, Iterator, Sequence
 
 from repro.errors import NonBooleanResultError, OperationError, UnknownMethodError
@@ -41,9 +42,19 @@ class OpKey:
         return f"{self.machine_id}#{self.op_number}"
 
 
-class SharedOp:
-    """Base class of the operation tree."""
+def _interned(value: Any) -> Any:
+    """``value`` interned if it is a plain ``str``, else unchanged."""
+    return intern(value) if type(value) is str else value
 
+
+class SharedOp:
+    """Base class of the operation tree.
+
+    Every node class declares ``__slots__``: each completed entry keeps
+    its op tree for the life of the node, so per-op memory counts.
+    """
+
+    __slots__ = ()
     kind = "shared"
 
     def execute(self, view: StateView) -> bool:
@@ -71,6 +82,7 @@ class PrimitiveOp(SharedOp):
     :class:`NonBooleanResultError`.
     """
 
+    __slots__ = ("object_id", "method_name", "args")
     kind = "primitive"
 
     def __init__(self, object_id: str, method_name: str, args: Sequence[Any] = ()):
@@ -80,9 +92,10 @@ class PrimitiveOp(SharedOp):
             raise OperationError(
                 f"method name {method_name!r} is not a public shared method"
             )
-        self.object_id = object_id
-        self.method_name = method_name
-        self.args = tuple(args)
+        # Decoded ops repeat the same few ids, names and string args.
+        self.object_id = _interned(object_id)
+        self.method_name = _interned(method_name)
+        self.args = tuple(map(_interned, args))
 
     def execute(self, view: StateView) -> bool:
         obj = view.get(self.object_id)
@@ -111,10 +124,11 @@ class PrimitiveOp(SharedOp):
 class AtomicOp(SharedOp):
     """All-or-nothing composition: every child succeeds or none apply."""
 
+    __slots__ = ("children",)
     kind = "atomic"
 
     def __init__(self, children: Sequence[SharedOp]):
-        children = list(children)
+        children = tuple(children)
         if not children:
             raise OperationError("Atomic requires at least one operation")
         if not all(isinstance(c, SharedOp) for c in children):
@@ -155,6 +169,7 @@ class OrElseOp(SharedOp):
     both fail the whole operation fails and the state is unchanged.
     """
 
+    __slots__ = ("first", "second")
     kind = "orelse"
 
     def __init__(self, first: SharedOp, second: SharedOp):
@@ -201,6 +216,7 @@ class CreateObjectOp(SharedOp):
     fresh).
     """
 
+    __slots__ = ("object_id", "cls", "init_state")
     kind = "create"
 
     def __init__(self, object_id: str, cls: type, init_state: dict | None = None):

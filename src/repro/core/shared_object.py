@@ -11,7 +11,7 @@ can be overridden:
 
 * ``get_state`` / ``set_state`` — the wire format used to ship initial
   state to other machines and to snapshot committed state for late
-  joiners.  The default deep-copies the instance ``__dict__``.
+  joiners.  The default copies the instance ``__dict__`` (structural_copy).
 * ``clone`` — builds a fresh replica (used by copy-on-write).  The
   default requires a no-argument constructor, which mirrors the paper's
   ``CreateInstance(typeof(...))`` pattern.
@@ -26,6 +26,40 @@ from repro.errors import SharedObjectError
 
 #: Attribute names the runtime plants on replicas; never part of state.
 _RUNTIME_FIELDS = ("_g_unique_id",)
+
+#: Immutable scalar types: copied by reference.
+_ATOMS = frozenset({type(None), bool, int, float, complex, str, bytes})
+
+
+def structural_copy(value: Any) -> Any:
+    """Deep copy of plain shared state, equal to ``copy.deepcopy`` by ``==``.
+
+    Atoms are shared by reference; lists, dicts, tuples and sets are
+    rebuilt directly (dict keys, being hashable, are shared); any other
+    type falls back to ``copy.deepcopy``.  There is no memo, so shared
+    state must be a tree: a container reached twice is copied twice.
+    """
+    atoms, cls = _ATOMS, type(value)
+    if cls in atoms:
+        return value
+    if cls is dict:
+        items = value.values()
+    elif cls is list or cls is tuple or cls is set:
+        items = value
+    else:
+        return copy.deepcopy(value)
+    for item in items:
+        if type(item) not in atoms:
+            break
+    else:  # atoms only: a shallow copy is already a deep one
+        return value if cls is tuple else value.copy()
+    if cls is dict:
+        return {
+            k: v if type(v) in atoms else structural_copy(v) for k, v in value.items()
+        }
+    copied = [v if type(v) in atoms else structural_copy(v) for v in value]
+    return copied if cls is list else cls(copied)
+
 
 #: Attribute planted by :func:`absorbing` on last-write-wins methods.
 ABSORBING_ATTR = "__g_absorbing_keys__"
@@ -104,13 +138,13 @@ class GSharedObject:
     # -- state transfer ------------------------------------------------------
 
     def get_state(self) -> dict[str, Any]:
-        """Return a deep copy of the shared state as a dict.
+        """Return a :func:`structural_copy` of the shared state as a dict.
 
         Default: every instance attribute except runtime-internal ones.
         Override when the class holds non-copyable resources.
         """
         return {
-            key: copy.deepcopy(value)
+            key: structural_copy(value)
             for key, value in self.__dict__.items()
             if key not in _RUNTIME_FIELDS
         }
@@ -121,7 +155,7 @@ class GSharedObject:
             if key not in _RUNTIME_FIELDS:
                 del self.__dict__[key]
         for key, value in state.items():
-            self.__dict__[key] = copy.deepcopy(value)
+            self.__dict__[key] = structural_copy(value)
 
     def clone(self) -> "GSharedObject":
         """Build a fresh replica with the same state (copy-on-write)."""

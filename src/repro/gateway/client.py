@@ -9,6 +9,7 @@ WebSocket library; the wire surface is plain JSON over HTTP/1.1.
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import socket
 import struct
@@ -19,9 +20,16 @@ import urllib.request
 from repro.errors import GatewayError
 from repro.gateway.http import ws_frame, WS_CLOSE, WS_PING, WS_PONG, WS_TEXT
 
+#: how often a 503 with Retry-After is retried before it is raised
+_RETRIES = 3
+
 
 class GatewayClient:
-    """Blocking REST client for one gateway endpoint."""
+    """Blocking REST client for one gateway endpoint.
+
+    A 503 with Retry-After (a create refused by a flush window that
+    outlasted the gateway's own wait) is retried up to ``_RETRIES`` times.
+    """
 
     def __init__(self, base_url: str, timeout: float = 5.0):
         self.base_url = base_url.rstrip("/")
@@ -35,19 +43,24 @@ class GatewayClient:
             method=method,
             headers={"Content-Type": "application/json"} if data else {},
         )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
+        for attempt in itertools.count():
             try:
-                detail = json.loads(exc.read().decode("utf-8")).get("error", "")
-            except Exception:  # noqa: BLE001 - best-effort error detail
-                detail = ""
-            raise GatewayError(
-                f"{method} {path} failed with HTTP {exc.code}: {detail}"
-            ) from None
-        except (urllib.error.URLError, TimeoutError, OSError) as exc:
-            raise GatewayError(f"{method} {path} unreachable: {exc}") from None
+                with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                    return json.loads(response.read().decode("utf-8"))
+            except urllib.error.HTTPError as exc:
+                retry_after = exc.headers.get("Retry-After")
+                if exc.code == 503 and retry_after and attempt < _RETRIES:
+                    time.sleep(float(retry_after))
+                    continue
+                try:
+                    detail = json.loads(exc.read().decode("utf-8")).get("error", "")
+                except Exception:  # noqa: BLE001 - best-effort error detail
+                    detail = ""
+                raise GatewayError(
+                    f"{method} {path} failed with HTTP {exc.code}: {detail}"
+                ) from None
+            except (urllib.error.URLError, TimeoutError, OSError) as exc:
+                raise GatewayError(f"{method} {path} unreachable: {exc}") from None
 
     # -- REST surface --------------------------------------------------------
 

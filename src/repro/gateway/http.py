@@ -101,16 +101,19 @@ _STATUS_TEXT = {
     404: "Not Found",
     405: "Method Not Allowed",
     500: "Internal Server Error",
+    503: "Service Unavailable",
 }
 
 
-def json_response(status: int, payload) -> bytes:
+def json_response(status: int, payload, headers: dict | None = None) -> bytes:
     body = json.dumps(payload, sort_keys=True).encode("utf-8")
     reason = _STATUS_TEXT.get(status, "Unknown")
+    extra = "".join(f"{name}: {value}\r\n" for name, value in (headers or {}).items())
     head = (
         f"HTTP/1.1 {status} {reason}\r\n"
         "Content-Type: application/json\r\n"
         f"Content-Length: {len(body)}\r\n"
+        f"{extra}"
         "Connection: close\r\n"
         "\r\n"
     ).encode("latin-1")

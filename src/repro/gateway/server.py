@@ -39,6 +39,7 @@ from repro.core.serialization import encode_state, resolve_shared_type
 from repro.errors import (
     GatewayError,
     GuesstimateError,
+    IssueBlockedError,
     SerializationError,
     SharedObjectError,
     UnknownMethodError,
@@ -56,6 +57,11 @@ from repro.gateway.http import (
     ws_text_frame,
 )
 from repro.runtime.node import GuesstimateNode
+
+#: a request refused by a flush/update window runs again every
+#: _BLOCKED_POLL seconds until the window closes, for up to _BLOCKED_WAIT
+_BLOCKED_POLL = 0.005
+_BLOCKED_WAIT = 5.0
 
 _STATUS_MAP = {
     "pending": "pending",
@@ -100,7 +106,13 @@ class _Subscriber:
 
 
 class GatewayServer:
-    """HTTP/WebSocket facade over one node's Guesstimate API."""
+    """HTTP/WebSocket facade over one node's Guesstimate API.
+
+    ``POST /instances`` issues through ``issue_operation``, which
+    refuses inside a flush or update window.  Such a request waits for
+    the window to close and runs again; only a window that outlasts the
+    wait answers 503 with Retry-After.
+    """
 
     def __init__(
         self,
@@ -161,7 +173,15 @@ class GatewayServer:
                 await self._serve_websocket(request, reader, writer)
                 return
             status, payload = self._route(request)
-            writer.write(json_response(status, payload))
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + _BLOCKED_WAIT
+            while status == 503 and loop.time() < deadline:
+                # Refused by a flush/update window before anything was
+                # issued, so the same request is safe to run again.
+                await asyncio.sleep(_BLOCKED_POLL)
+                status, payload = self._route(request)
+            headers = {"Retry-After": "1"} if status == 503 else None
+            writer.write(json_response(status, payload, headers))
             await writer.drain()
         except (ConnectionError, OSError):
             pass
@@ -178,6 +198,8 @@ class GatewayServer:
             return 404, {"error": str(exc)}
         except (GatewayError, SerializationError, UnknownMethodError) as exc:
             return 400, {"error": str(exc)}
+        except IssueBlockedError as exc:
+            return 503, {"error": str(exc)}
         except GuesstimateError as exc:
             return 500, {"error": str(exc)}
         except (TypeError, ValueError) as exc:

@@ -49,6 +49,7 @@ current synchronization and told to :class:`~repro.runtime.messages.Restart`.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -241,13 +242,14 @@ class Synchronizer:
         """Dispatch one operations-channel message (single op or batch)."""
         if self.node.state == self.node.STATE_JOINING:
             return  # not in any round until welcomed
+        machine_id = sys.intern(payload.machine_id)  # one copy per machine
         if isinstance(payload, msg.OpBatch):
             items = [
-                (OpKey(payload.machine_id, op_number), op_payload)
+                (OpKey(machine_id, op_number), op_payload)
                 for op_number, op_payload in payload.ops
             ]
         else:
-            items = [(OpKey(payload.machine_id, payload.op_number), payload.payload)]
+            items = [(OpKey(machine_id, payload.op_number), payload.payload)]
         if payload.round_id <= self.last_done_round:
             return  # late frames for a round that already completed
         round_state = self.rounds.get(payload.round_id)

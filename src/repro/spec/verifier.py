@@ -23,13 +23,19 @@ to exhaust within the budget leaves it a **RUNTIME_CHECK**.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import random
 from typing import Any, Callable
 
+from repro.core.shared_object import structural_copy
 from repro.errors import SpecError
-from repro.spec.contracts import set_checking
+from repro.spec.contracts import (
+    CONFORMANCE,
+    contracted_members,
+    frame_fields,
+    set_checking,
+    state_of,
+)
 from repro.spec.domains import Domain, product
 from repro.spec.report import AssertionOutcome, AssertionResult, VerificationReport
 
@@ -64,11 +70,9 @@ class Verifier:
         previous = set_checking(False)
         try:
             self._verify_invariant_validity(cls, states, report)
-            for name in _contracted_members(cls):
+            for name in contracted_members(cls):
                 member = getattr(cls, name)
-                spec = getattr(member, "__gspec__", None)
-                if spec is None:  # pragma: no cover - filtered already
-                    continue
+                spec = member.__gspec__
                 raw = getattr(member, "__gspec_raw__", member)
                 if name in args:
                     domain = product(states, args[name], name=f"{name}-cases")
@@ -114,6 +118,10 @@ class Verifier:
         subject = f"{cls.__name__}.{name}"
         requires = list(spec.requires)
 
+        def check(kind: str, description: str, obligation: Callable) -> None:
+            outcome = self._quantify(cases, obligation)
+            report.results.append(AssertionResult(kind, subject, description, *outcome))
+
         def preconditions_hold(obj: Any, call_args: tuple) -> bool:
             return all(
                 self._safe_pred(clause.predicate, obj, *call_args)
@@ -124,99 +132,61 @@ class Verifier:
         for clause in requires:
             def defensive(case: tuple, clause=clause) -> bool:
                 obj, call_args = case
-                obj = copy.deepcopy(obj)  # product() reuses state objects
+                obj = structural_copy(obj)  # product() reuses state objects
                 if self._safe_pred(clause.predicate, obj, *call_args):
                     return True  # precondition holds; nothing to refute here
-                before = _state_of(obj)
+                before = state_of(obj)
                 try:
                     result = raw(obj, *call_args)
                 except Exception:
                     return False  # crashed on bad input
-                return result is False and _state_of(obj) == before
+                return result is False and state_of(obj) == before
 
-            outcome, count, cex = self._quantify(cases, defensive)
-            report.results.append(
-                AssertionResult(
-                    "requires", subject, clause.description, outcome, count, cex
-                )
-            )
+            check("requires", clause.description, defensive)
 
         # ensures: success implies the postcondition relation.
         for clause in spec.ensures:
             def established(case: tuple, clause=clause) -> bool:
                 obj, call_args = case
-                obj = copy.deepcopy(obj)
+                obj = structural_copy(obj)
                 if not preconditions_hold(obj, call_args):
                     return True
-                before = _state_of(obj)
+                before = state_of(obj)
                 result = raw(obj, *call_args)
                 return bool(clause.predicate(before, obj, result, *call_args))
 
-            outcome, count, cex = self._quantify(cases, established)
-            report.results.append(
-                AssertionResult(
-                    "ensures", subject, clause.description, outcome, count, cex
-                )
-            )
+            check("ensures", clause.description, established)
 
         # conformance: False implies unchanged (every contracted method).
         def conformant(case: tuple) -> bool:
             obj, call_args = case
-            obj = copy.deepcopy(obj)
+            obj = structural_copy(obj)
             if not preconditions_hold(obj, call_args):
                 return True
-            before = _state_of(obj)
+            before = state_of(obj)
             result = raw(obj, *call_args)
-            return result is not False or _state_of(obj) == before
+            return result is not False or state_of(obj) == before
 
-        outcome, count, cex = self._quantify(cases, conformant)
-        report.results.append(
-            AssertionResult(
-                "conformance",
-                subject,
-                "returns False implies shared state unchanged",
-                outcome,
-                count,
-                cex,
-            )
-        )
+        check("conformance", CONFORMANCE, conformant)
 
         # modifies: the frame, one assertion per protected field.
-        if spec.modifies is not None:
-            probe = cls()
-            frame_fields = [
-                field_name
-                for field_name in vars(probe)
-                if not field_name.startswith("_g_")
-                and field_name not in spec.modifies
-            ]
-            for field_name in frame_fields:
-                def framed(case: tuple, field_name=field_name) -> bool:
-                    obj, call_args = case
-                    obj = copy.deepcopy(obj)
-                    if not preconditions_hold(obj, call_args):
-                        return True
-                    before = copy.deepcopy(getattr(obj, field_name, None))
-                    raw(obj, *call_args)
-                    return getattr(obj, field_name, None) == before
+        for field_name in frame_fields(cls, spec):
+            def framed(case: tuple, field_name=field_name) -> bool:
+                obj, call_args = case
+                obj = structural_copy(obj)
+                if not preconditions_hold(obj, call_args):
+                    return True
+                before = structural_copy(getattr(obj, field_name, None))
+                raw(obj, *call_args)
+                return getattr(obj, field_name, None) == before
 
-                outcome, count, cex = self._quantify(cases, framed)
-                report.results.append(
-                    AssertionResult(
-                        "modifies",
-                        subject,
-                        f"field {field_name!r} is never written",
-                        outcome,
-                        count,
-                        cex,
-                    )
-                )
+            check("modifies", f"field {field_name!r} is never written", framed)
 
         # invariant preservation, one assertion per (invariant, method).
         for clause in getattr(cls, "__ginvariants__", ()):
             def preserved(case: tuple, clause=clause) -> bool:
                 obj, call_args = case
-                obj = copy.deepcopy(obj)
+                obj = structural_copy(obj)
                 if not self._safe_pred(clause.predicate, obj):
                     return True  # entry state outside the invariant
                 if not preconditions_hold(obj, call_args):
@@ -224,17 +194,7 @@ class Verifier:
                 raw(obj, *call_args)
                 return bool(clause.predicate(obj))
 
-            outcome, count, cex = self._quantify(cases, preserved)
-            report.results.append(
-                AssertionResult(
-                    "invariant",
-                    subject,
-                    f"{clause.description} (preserved)",
-                    outcome,
-                    count,
-                    cex,
-                )
-            )
+            check("invariant", f"{clause.description} (preserved)", preserved)
 
     def _defer_method(
         self, cls: type, name: str, spec: Any, report: VerificationReport
@@ -244,16 +204,11 @@ class Verifier:
         clauses: list[tuple[str, str]] = []
         clauses += [("requires", c.description) for c in spec.requires]
         clauses += [("ensures", c.description) for c in spec.ensures]
-        clauses.append(
-            ("conformance", "returns False implies shared state unchanged")
-        )
-        if spec.modifies is not None:
-            probe = cls()
-            for field_name in vars(probe):
-                if not field_name.startswith("_g_") and field_name not in spec.modifies:
-                    clauses.append(
-                        ("modifies", f"field {field_name!r} is never written")
-                    )
+        clauses.append(("conformance", CONFORMANCE))
+        clauses += [
+            ("modifies", f"field {field_name!r} is never written")
+            for field_name in frame_fields(cls, spec)
+        ]
         for clause in getattr(cls, "__ginvariants__", ()):
             clauses.append(("invariant", f"{clause.description} (preserved)"))
         for kind, description in clauses:
@@ -290,27 +245,6 @@ class Verifier:
             return bool(predicate(*args))
         except Exception:
             return False
-
-
-def _contracted_members(cls: type) -> list[str]:
-    """Names of contracted methods anywhere in the MRO (most-derived wins)."""
-    names: set[str] = set()
-    for klass in cls.__mro__:
-        for name, member in vars(klass).items():
-            if getattr(member, "__gspec__", None) is not None:
-                names.add(name)
-    return sorted(names)
-
-
-def _state_of(obj: Any) -> dict[str, Any]:
-    get_state = getattr(obj, "get_state", None)
-    if callable(get_state):
-        return get_state()
-    return {
-        key: copy.deepcopy(value)
-        for key, value in vars(obj).items()
-        if not key.startswith("_g_")
-    }
 
 
 def _describe_case(case: Any) -> Any:

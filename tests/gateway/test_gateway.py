@@ -7,9 +7,14 @@ guessed → committed → delta stream carries the new state.
 
 from __future__ import annotations
 
+import asyncio
+import time
+
 import pytest
 
 from repro.errors import GatewayError
+from repro.gateway import client as gateway_client
+from repro.gateway import server as gateway_server
 from tests.helpers import Counter  # registers the Counter shared type
 
 
@@ -157,3 +162,41 @@ class TestBroadcastFanout:
             lambda event: pytest.fail("encoded an event nobody will read"),
         )
         server_mod.GatewayServer._broadcast_event(gateway, {"event": "x"})
+
+
+class TestCreateInsideFlushWindow:
+    """``POST /instances`` refused by a flush window is retried, never 500."""
+
+    @staticmethod
+    def _hold_window(cluster, seconds: float) -> None:
+        """Open a flush window on the master now; close it after ``seconds``."""
+        node = cluster.master_node
+
+        async def hold() -> None:
+            node.enter_window("flush")
+            asyncio.get_running_loop().call_later(seconds, node.exit_window, "flush")
+
+        asyncio.run_coroutine_threadsafe(hold(), cluster.aio_loop).result(10)
+
+    def test_create_waits_for_the_window_to_close(self, gateway_cluster):
+        cluster, client = gateway_cluster
+        self._hold_window(cluster, 0.3)
+        started = time.monotonic()
+        uid = client.create_instance("Counter", {"value": 7})
+        assert time.monotonic() - started >= 0.2
+        done = client.wait_ticket(client.invoke(uid, "increment", 100)["ticket"], 15.0)
+        assert done["status"] == "committed"
+        assert client.object(uid)["state"]["value"] == 8
+
+    def test_window_outlasting_the_wait_answers_503_then_retries(
+        self, gateway_cluster, monkeypatch
+    ):
+        cluster, client = gateway_cluster
+        monkeypatch.setattr(gateway_server, "_BLOCKED_WAIT", 0.05)
+        self._hold_window(cluster, 1.5)
+        monkeypatch.setattr(gateway_client, "_RETRIES", 0)
+        with pytest.raises(GatewayError, match="HTTP 503"):
+            client.create_instance("Counter")
+        monkeypatch.setattr(gateway_client, "_RETRIES", 3)
+        uid = client.create_instance("Counter")  # honours Retry-After
+        assert uid in client.objects()
