@@ -9,8 +9,10 @@ oracle (:mod:`repro.semantics`) checks it.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from sys import intern
+from typing import Any, Callable, Iterator
 
 from repro.core.operations import OpKey, SharedOp
 from repro.core.store import ObjectStore
@@ -42,14 +44,111 @@ class PendingEntry:
     absorbed: tuple = ()
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class CompletedEntry:
-    """One entry of the completed sequence C (identical on all machines)."""
+    """One entry of the completed sequence C (identical on all machines).
+
+    A read-only view built on access from :class:`CompletedLog`'s
+    columns; writing to C goes through the log itself.
+    """
 
     key: OpKey
     op: SharedOp
     result: bool
     committed_at: float
+
+
+class CompletedLog:
+    """The completed sequence C, stored column-wise.
+
+    Every replica keeps C for its whole life, so the per-entry cost is
+    what it weighs: one pointer per machine id (interned), eight bytes
+    per op number and per commit time, one byte per result, and the op
+    tree.  Reads behave like a ``list[CompletedEntry]``: index (negative
+    too), slice, iteration, ``len`` and ``==`` build entry views on the
+    fly.  The runtime appends through :meth:`append` and compares
+    histories through :meth:`matches` without building any views.
+    """
+
+    __slots__ = ("machines", "numbers", "ops", "results", "committed_at")
+
+    def __init__(self) -> None:
+        self.machines: list[str] = []
+        self.numbers = array("q")
+        self.ops: list[SharedOp] = []
+        self.results = bytearray()
+        self.committed_at = array("d")
+
+    def append(
+        self,
+        machine_id: str,
+        op_number: int,
+        op: SharedOp,
+        result: bool,
+        committed_at: float,
+    ) -> None:
+        self.machines.append(intern(machine_id))
+        self.numbers.append(op_number)
+        self.ops.append(op)
+        self.results.append(result)
+        self.committed_at.append(committed_at)
+
+    def truncate(self, length: int) -> None:
+        """Keep only the first ``length`` entries."""
+        del self.machines[length:]
+        del self.numbers[length:]
+        del self.ops[length:]
+        del self.results[length:]
+        del self.committed_at[length:]
+
+    def clear(self) -> None:
+        self.truncate(0)
+
+    def __len__(self) -> int:
+        return len(self.numbers)
+
+    def _entry(self, index: int) -> CompletedEntry:
+        return CompletedEntry(
+            OpKey(self.machines[index], self.numbers[index]),
+            self.ops[index],
+            bool(self.results[index]),
+            self.committed_at[index],
+        )
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._entry(i) for i in range(len(self))[index]]
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("completed sequence index out of range")
+        return self._entry(index)
+
+    def __iter__(self) -> Iterator[CompletedEntry]:
+        return map(self._entry, range(len(self)))
+
+    def matches(self, other: "CompletedLog", start: int = 0) -> bool:
+        """True when this log equals ``other[start:]`` by key and result.
+
+        Ops and commit times are not compared: the op follows from the
+        key, and each replica stamps its own commit clock.
+        """
+        if len(self) != max(0, len(other) - start):
+            return False
+        theirs = (other.results, other.numbers, other.machines)
+        if start:
+            theirs = tuple(column[start:] for column in theirs)
+        return (self.results, self.numbers, self.machines) == theirs
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (CompletedLog, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"CompletedLog({list(self)!r})"
 
 
 @dataclass
@@ -60,7 +159,7 @@ class MachineModel:
     local_state: dict[str, Any] = field(default_factory=dict)
     committed: ObjectStore = field(default_factory=lambda: ObjectStore("committed"))
     guess: ObjectStore = field(default_factory=lambda: ObjectStore("guess"))
-    completed: list[CompletedEntry] = field(default_factory=list)
+    completed: CompletedLog = field(default_factory=CompletedLog)
     pending: list[PendingEntry] = field(default_factory=list)
     _op_counter: int = 0
     #: highest committed op number seen per machine — survives C being
@@ -104,10 +203,17 @@ class MachineModel:
 
     # -- completed sequence ------------------------------------------------------
 
-    def record_completed(self, entry: CompletedEntry) -> None:
-        self.completed.append(entry)
-        if entry.key.op_number > self.op_high_water.get(entry.key.machine_id, 0):
-            self.op_high_water[entry.key.machine_id] = entry.key.op_number
+    def record_completed(
+        self,
+        machine_id: str,
+        op_number: int,
+        op: SharedOp,
+        result: bool,
+        committed_at: float,
+    ) -> None:
+        self.completed.append(machine_id, op_number, op, result, committed_at)
+        if op_number > self.op_high_water.get(machine_id, 0):
+            self.op_high_water[machine_id] = op_number
 
     @property
     def completed_count(self) -> int:

@@ -230,9 +230,13 @@ def run(
 
 
 def to_bench_json(result: SyncScaleResult) -> dict:
-    """The ``BENCH_sync.json`` payload (stable schema for trend tooling)."""
+    """The ``BENCH_sync.json`` payload (stable schema for trend tooling).
+
+    Every latency and throughput in it is simulated: ``clock`` says so.
+    """
     return {
         "benchmark": "syncscale",
+        "clock": "virtual",
         "config": {
             "machine_counts": result.machine_counts,
             "duration_s": result.duration,

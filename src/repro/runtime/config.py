@@ -114,9 +114,12 @@ class RuntimeConfig:
     #: before broadcasting a resend request.
     missing_ops_timeout: float = 1.0
 
-    #: CPU cost model (virtual seconds).  These give the flush/update
-    #: windows real width on the event loop so the "no issuing inside a
-    #: window" rule is actually exercised.
+    #: CPU cost model, in virtual seconds only.  These give the
+    #: flush/update windows and each apply step width on the simulator's
+    #: event loop, so the "no issuing inside a window" rule is exercised
+    #: and Figures 5-6 have their shape.  The wall-clock schedulers do
+    #: not sleep them (``Scheduler.after_cpu``): there a window lasts as
+    #: long as its real work.
     flush_cpu_base: float = 0.0005
     flush_cpu_per_op: float = 0.0002
     apply_cpu_base: float = 0.0005

@@ -12,8 +12,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.guesstimate import Guesstimate, Host
-from repro.core.machine import CompletedEntry, MachineModel, PendingEntry
-from repro.core.operations import OpKey
+from repro.core.machine import MachineModel, PendingEntry
 from repro.core.readlock import ReadLockTable
 from repro.core.serialization import decode_op, decode_state
 from repro.errors import NodeCrashedError, RuntimeFailure
@@ -26,6 +25,16 @@ from repro.runtime.synchronizer import MasterControl, Synchronizer
 from repro.runtime.tracing import Tracer
 from repro.sim.scheduler import Scheduler
 from repro.storage.store import CommitRecord, RecoveredState, build_storage
+
+
+def _replay_commits(model: MachineModel, entries) -> None:
+    """Re-execute logged commit tuples on ``model``'s committed store
+    and append them to its completed sequence C."""
+    for machine_id, op_number, payload, result, committed_at in entries:
+        op = decode_op(payload)
+        op.execute(model.committed)
+        model.committed.mark_dirty(op.object_ids())
+        model.record_completed(machine_id, op_number, op, result, committed_at)
 
 
 class GuesstimateNode(Host):
@@ -301,19 +310,10 @@ class GuesstimateNode(Host):
             model.committed.adopt(
                 unique_id, decode_state({"type": type_name, "state": state})
             )
-        max_own_op = 0
         for commit in recovered.commits:
-            for machine_id, op_number, payload, result, committed_at in commit.entries:
-                op = decode_op(payload)
-                op.execute(model.committed)  # deterministic replay
-                model.committed.mark_dirty(op.object_ids())
-                model.record_completed(
-                    CompletedEntry(OpKey(machine_id, op_number), op, result, committed_at)
-                )
-                if machine_id == self.machine_id:
-                    max_own_op = max(max_own_op, op_number)
+            _replay_commits(model, commit.entries)  # deterministic replay
         model.guess.refresh_from(model.committed)
-        model._op_counter = max_own_op
+        model._op_counter = model.op_high_water.get(self.machine_id, 0)
         return model
 
     def recover_and_rejoin(self) -> None:
@@ -423,24 +423,13 @@ class GuesstimateNode(Host):
                 welcome.backlog_from is not None
                 and welcome.backlog_from <= local_total
             ):
-                skip = local_total - welcome.backlog_from
-                logged: list[tuple] = []
-                for entry in welcome.backlog[skip:]:
-                    machine_id, op_number, payload, result, committed_at = entry
-                    op = decode_op(payload)
-                    op.execute(self.model.committed)
-                    self.model.committed.mark_dirty(op.object_ids())
-                    self.model.record_completed(
-                        CompletedEntry(
-                            OpKey(machine_id, op_number), op, result, committed_at
-                        )
-                    )
-                    logged.append(entry)
+                logged = tuple(welcome.backlog[local_total - welcome.backlog_from :])
+                _replay_commits(self.model, logged)
                 if logged:
                     self.storage.append_commit(
                         CommitRecord(
                             -1,
-                            tuple(logged),
+                            logged,
                             self.completed_offset + self.model.completed_count,
                         )
                     )
@@ -491,24 +480,13 @@ class GuesstimateNode(Host):
         leading backlog entries the recovered state already holds
         (a Welcome built from an older Hello's position overlaps).
         """
-        logged: list[tuple] = []
-        for machine_id, op_number, payload, result, committed_at in welcome.backlog[
-            skip:
-        ]:
-            op = decode_op(payload)
-            op.execute(self.model.committed)
-            self.model.committed.mark_dirty(op.object_ids())
-            self.model.record_completed(
-                CompletedEntry(OpKey(machine_id, op_number), op, result, committed_at)
-            )
-            logged.append((machine_id, op_number, payload, result, committed_at))
+        logged = tuple(welcome.backlog[skip:])
+        _replay_commits(self.model, logged)
         completed_global = self.completed_offset + self.model.completed_count
         if logged:
             # Catch-up batches are logged like a round (round_id -1
             # marks them) so recovery replays them in order too.
-            self.storage.append_commit(
-                CommitRecord(-1, tuple(logged), completed_global)
-            )
+            self.storage.append_commit(CommitRecord(-1, logged, completed_global))
         self.model.guess.refresh_from(self.model.committed)
         self.trace(
             Tracer.STORAGE, action="catch_up", backlog=len(welcome.backlog),

@@ -53,7 +53,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.machine import CompletedEntry, PendingEntry
+from repro.core.machine import PendingEntry
 from repro.core.operations import OpKey, PrimitiveOp
 from repro.core.serialization import decode_op, encode_op
 from repro.core.shared_object import absorbing_keys
@@ -362,7 +362,7 @@ class Synchronizer:
                 msg.FlushDone(round_state.round_id, node.machine_id, round_state.flush_count)
             )
 
-        node.scheduler.call_later(node.config.flush_cpu(len(entries)), end_flush)
+        node.scheduler.after_cpu(node.config.flush_cpu(len(entries)), end_flush)
         self._try_apply(round_state)
 
     def _broadcast_batches(
@@ -748,11 +748,15 @@ class Synchronizer:
             decoded.append((key, op))
             object_ids |= op.object_ids()
         logged: list[tuple] = []
+        # One clock read per block: C and the WAL must carry the same
+        # commit time, or a replica rebuilt from its log and one
+        # welcomed from the master's backlog would disagree.
+        now = node.scheduler.now()
         with node.read_locks.writing(sorted(object_ids)):
             for key, op in decoded:
                 result = op.execute(node.model.committed)
                 node.model.record_completed(
-                    CompletedEntry(key, op, result, node.scheduler.now())
+                    key.machine_id, key.op_number, op, result, now
                 )
                 logged.append(
                     (
@@ -760,7 +764,7 @@ class Synchronizer:
                         key.op_number,
                         round_state.received[key],
                         result,
-                        node.scheduler.now(),
+                        now,
                     )
                 )
                 node.trace(Tracer.COMMIT, key=str(key), ok=result)
@@ -797,8 +801,9 @@ class Synchronizer:
             profiler.end("apply", _t0)
         if not block:
             return  # empty block: no CPU to charge, keep streaming
-        # Charge the block's apply CPU before the next block may start
-        # (the base setup cost is charged once, on the first block).
+        # Charge the block's modelled apply CPU before the next block may
+        # start (the base setup cost is charged once, on the first
+        # block); only virtual time advances by it.
         cost = node.config.apply_cpu(len(block))
         if len(round_state.stream_done) > 1:
             cost = max(0.0, cost - node.config.apply_cpu(0))
@@ -812,7 +817,7 @@ class Synchronizer:
                 return
             self._advance_stream(round_state)
 
-        node.scheduler.call_later(cost, unlock)
+        node.scheduler.after_cpu(cost, unlock)
 
     def _finalize_stream(self, round_state: RoundState) -> None:
         """All blocks committed: log the round, ack, refresh the guess."""
@@ -876,11 +881,12 @@ class Synchronizer:
             object_ids |= op.object_ids()
         remote_touched: set[str] = set()
         logged: list[tuple] = []
+        now = node.scheduler.now()  # one commit time for C and the WAL
         with node.read_locks.writing(sorted(object_ids)):
             for key, op in decoded:
                 result = op.execute(node.model.committed)
                 node.model.record_completed(
-                    CompletedEntry(key, op, result, node.scheduler.now())
+                    key.machine_id, key.op_number, op, result, now
                 )
                 logged.append(
                     (
@@ -888,7 +894,7 @@ class Synchronizer:
                         key.op_number,
                         round_state.received[key],
                         result,
-                        node.scheduler.now(),
+                        now,
                     )
                 )
                 node.trace(Tracer.COMMIT, key=str(key), ok=result)
@@ -946,7 +952,7 @@ class Synchronizer:
             )
             self._update_guess(round_state, remote_touched)
 
-        node.scheduler.call_later(node.config.apply_cpu(len(decoded)), ack_and_update)
+        node.scheduler.after_cpu(node.config.apply_cpu(len(decoded)), ack_and_update)
         # A pipelined later round may already be fully collected.
         self._nudge_later_rounds(round_state.round_id)
 
@@ -1024,7 +1030,7 @@ class Synchronizer:
         def end_update() -> None:
             node.exit_window("update")
 
-        node.scheduler.call_later(
+        node.scheduler.after_cpu(
             node.config.update_cpu(len(node.model.pending)), end_update
         )
 

@@ -84,38 +84,20 @@ def completed_sequences_equal(nodes) -> bool:
     """Paper invariant: C(i) = C(j), aligned by join offsets.
 
     Machines that joined (or restarted) late only see the suffix of
-    the global sequence after their snapshot point, so sequences
-    are compared after dropping each machine's pre-join prefix.
+    the global sequence after their snapshot point, so each one must
+    equal a full-history machine's sequence from its join offset on.
+    Compared column-wise by (machine, number, result): no per-entry
+    objects are built.
     """
     nodes = list(nodes)
-    if len(nodes) < 2:
-        return True
-    global_len = max(
-        node.completed_offset + node.model.completed_count for node in nodes
-    )
-
-    def aligned(node: GuesstimateNode) -> list[tuple[str, int, bool]]:
-        entries = node.model.completed
-        return [
-            (entry.key.machine_id, entry.key.op_number, entry.result)
-            for entry in entries
-        ]
-
     full_nodes = [node for node in nodes if node.completed_offset == 0]
-    if len(full_nodes) >= 2:
-        reference = aligned(full_nodes[0])
-        if any(aligned(node) != reference for node in full_nodes[1:]):
-            return False
-    # Late joiners: their sequence must equal the common suffix.
-    for node in nodes:
-        if node.completed_offset == 0 or not full_nodes:
-            continue
-        reference = aligned(full_nodes[0])
-        expected_len = global_len - node.completed_offset
-        suffix = reference[len(reference) - expected_len :] if expected_len else []
-        if aligned(node) != suffix:
-            return False
-    return True
+    if len(nodes) < 2 or not full_nodes:
+        return True
+    reference = full_nodes[0].model.completed
+    return all(
+        node.model.completed.matches(reference, node.completed_offset)
+        for node in nodes
+    )
 
 
 def convergence_invariant_holds(nodes) -> bool:

@@ -1,9 +1,12 @@
 """Deterministic discrete-event loop (virtual time).
 
 Events are ordered by (time, sequence-number) so two runs with the same
-inputs produce byte-identical traces.  This loop drives every test and
-benchmark in the repository; the real-time examples use
-:class:`~repro.sim.scheduler.RealTimeScheduler` instead.
+inputs produce byte-identical traces.  This loop drives the simulator's
+tests and figures, and it is the one scheduler on which the runtime's
+modelled CPU costs take time (:meth:`EventLoop.after_cpu`).  The real
+transport runs on :class:`~repro.transport.scheduler.AsyncioScheduler`
+and the real-time examples on
+:class:`~repro.sim.scheduler.RealTimeScheduler`.
 """
 
 from __future__ import annotations
@@ -70,6 +73,10 @@ class EventLoop(Scheduler):
     def call_later(self, delay: float, callback: Callable[[], None]) -> CancelHandle:
         event = self.schedule(delay, callback)
         return CancelHandle(event.cancel)
+
+    def after_cpu(self, cost: float, callback: Callable[[], None]) -> CancelHandle:
+        """Charge modelled CPU on virtual time: the clock moves ``cost``."""
+        return self.call_later(cost, callback)
 
     # -- scheduling ----------------------------------------------------------
 

@@ -49,14 +49,26 @@ class Scheduler(ABC):
         """Run ``callback`` as soon as possible (delay 0)."""
         return self.call_later(0.0, callback)
 
+    def after_cpu(self, cost: float, callback: Callable[[], None]) -> CancelHandle:
+        """Run ``callback`` once modelled CPU work of ``cost`` seconds is done.
+
+        On a wall clock the work itself already ran inline, so the
+        callback runs on the next loop turn and ``cost`` is not slept;
+        the virtual-time :class:`~repro.sim.eventloop.EventLoop`
+        overrides this to advance its clock by ``cost`` instead.
+        """
+        return self.call_later(0.0, callback)
+
 
 class RealTimeScheduler(Scheduler):
     """Wall-clock scheduler backed by a single timer thread.
 
     Callbacks run on the timer thread, serialized by an internal lock so
     the callback-driven synchronizer state machines never race.  Used by
-    the real-time examples; tests and benchmarks use the deterministic
-    :class:`~repro.sim.eventloop.EventLoop` instead.
+    the real-time examples.  Like every wall-clock scheduler it charges
+    the runtime's modelled CPU costs nothing (:meth:`Scheduler.after_cpu`);
+    the simulator's virtual-time figures come from the deterministic
+    :class:`~repro.sim.eventloop.EventLoop`.
     """
 
     def __init__(self):

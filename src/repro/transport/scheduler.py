@@ -6,7 +6,10 @@ interface.  :class:`AsyncioScheduler` maps it onto an asyncio event
 loop, which gives the real transport the same single-threaded execution
 discipline the deterministic :class:`~repro.sim.eventloop.EventLoop`
 provides: every callback (timer, socket read, gateway request) runs on
-the loop thread, so the runtime needs no locks.
+the loop thread, so the runtime needs no locks.  The runtime's
+modelled CPU costs are not slept here: :meth:`Scheduler.after_cpu`
+runs its callback on the next loop turn, because the real work already
+ran inline.
 
 Callbacks must only be scheduled from the loop's own thread (asyncio's
 ``call_later`` is not thread-safe); cross-thread callers marshal

@@ -1,6 +1,6 @@
 """MachineModel tests: numbering, queues, the convergence invariant."""
 
-from repro.core.machine import CompletedEntry, MachineModel, PendingEntry
+from repro.core.machine import MachineModel, PendingEntry
 from repro.core.operations import OpKey, PrimitiveOp
 from tests.helpers import Counter
 
@@ -78,7 +78,7 @@ class TestQueues:
     def test_completed_bookkeeping(self):
         model = MachineModel("m01")
         op = PrimitiveOp("c1", "increment", (5,))
-        model.record_completed(CompletedEntry(OpKey("m02", 1), op, True, 1.0))
+        model.record_completed("m02", 1, op, True, 1.0)
         assert model.completed_count == 1
         assert model.completed_keys() == [OpKey("m02", 1)]
 

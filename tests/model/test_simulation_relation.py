@@ -64,6 +64,7 @@ class TestReplayCheck:
         api = system.api("m01")
         api.issue_operation(api.create_operation(replicas["m01"], "increment", 5))
         system.run_until_quiesced()
-        system.node("m02").model.completed.pop()
+        completed = system.node("m02").model.completed
+        completed.truncate(len(completed) - 1)
         with pytest.raises(SimulationError):
             replay_check(system)

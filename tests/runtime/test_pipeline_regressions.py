@@ -14,7 +14,7 @@ pin the node- and master-side behaviours that fix them:
 * a rejoining machine resumes op numbering above ``Welcome.op_floor``.
 """
 
-from repro.core.machine import CompletedEntry, MachineModel
+from repro.core.machine import MachineModel
 from repro.core.operations import OpKey
 from repro.runtime import messages as msg
 from repro.runtime.config import SyncConfig
@@ -208,9 +208,9 @@ class TestJoiningGate:
 class TestOpFloor:
     def test_high_water_tracks_completed_numbers(self):
         model = MachineModel("m01")
-        model.record_completed(CompletedEntry(OpKey("m02", 3), None, True, 1.0))
-        model.record_completed(CompletedEntry(OpKey("m02", 7), None, True, 2.0))
-        model.record_completed(CompletedEntry(OpKey("m02", 5), None, False, 3.0))
+        model.record_completed("m02", 3, None, True, 1.0)
+        model.record_completed("m02", 7, None, True, 2.0)
+        model.record_completed("m02", 5, None, False, 3.0)
         assert model.op_high_water["m02"] == 7
         # Truncating C (snapshot + suffix) must not lower the floor.
         model.completed.clear()

@@ -104,9 +104,10 @@ class TestListOracleProbe:
         with (an edit that 'succeeded' out of range)."""
         system, uid = self._doc_system()
         master = system.nodes[system.machine_ids()[0]]
-        for entry in master.model.completed:
-            if getattr(entry.op, "method_name", None) == "delete_at":
-                entry.result = not entry.result
+        completed = master.model.completed
+        for index, op in enumerate(completed.ops):
+            if getattr(op, "method_name", None) == "delete_at":
+                completed.results[index] ^= 1
         violations = list_oracle_probe(system)
         assert any("committed" in v and "oracle says" in v for v in violations)
 
